@@ -392,7 +392,8 @@ mod tests {
     use st_rand::{SeedableRng, StdRng};
 
     /// Drive a solver end to end with an oracle ε-predictor, mirroring the
-    /// batched driver: solver mean + (here unused) noise scale.
+    /// batched driver: solver mean, plus `σ·z` noise the driver draws itself
+    /// (no draws for the η = 0 solvers, whose `σ` is 0).
     fn run_solver(
         solver: &mut dyn GenerativeProcess,
         schedule: &DiffusionSchedule,
@@ -417,12 +418,52 @@ mod tests {
         for (t, t_prev) in solver.timesteps(schedule) {
             let eps = oracle(&x, t);
             let step = solver.step(&x, &eps, schedule, t, t_prev);
-            assert_eq!(step.noise_scale, 0.0_f64.max(step.noise_scale));
-            // deterministic drive: skip the σ·z half (η=0 solvers have σ=0
-            // anyway; DDPM is exercised separately against p_sample_step).
+            assert!(step.noise_scale >= 0.0);
             x = step.mean;
+            crate::ddpm::add_reverse_noise_slice(x.data_mut(), step.noise_scale, rng);
         }
         x
+    }
+
+    /// Mean over `trials` oracle chains of the solver's final sample.
+    fn oracle_mean(
+        solver: &mut dyn GenerativeProcess,
+        schedule: &DiffusionSchedule,
+        target: f32,
+        seed: u64,
+        trials: usize,
+    ) -> f64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let total: f64 =
+            (0..trials).map(|_| run_solver(solver, schedule, target, 0.0, &mut rng).mean()).sum();
+        total / trials as f64
+    }
+
+    /// With an oracle predictor that knows the true x0, the full ancestral
+    /// chain — noise added by the driver — lands near x0: this exercises the
+    /// exact constants of `p_sample_mean` and `p_sample_noise_scale`.
+    #[test]
+    fn reverse_with_oracle_recovers_target() {
+        let schedule = DiffusionSchedule::pristi_default(50);
+        let target = 1.7f32;
+        let mean = oracle_mean(&mut Ddpm, &schedule, target, 0, 20);
+        assert!(
+            (mean - target as f64).abs() < 0.15,
+            "oracle reverse process should land near {target}, got {mean}"
+        );
+    }
+
+    /// With an oracle ε-predictor, deterministic DDIM (η = 0) recovers the
+    /// target in very few steps.
+    #[test]
+    fn oracle_ddim_recovers_target_in_few_steps() {
+        let schedule = DiffusionSchedule::pristi_default(50);
+        let target = -0.8f32;
+        let mean = oracle_mean(&mut Ddim::new(8, 0.0), &schedule, target, 1, 10);
+        assert!(
+            (mean - target as f64).abs() < 0.05,
+            "8-step deterministic DDIM should land on {target}, got {mean}"
+        );
     }
 
     #[test]
@@ -514,13 +555,7 @@ mod tests {
             ("pndm4", &mut Pndm::new(4, 4) as &mut dyn GenerativeProcess),
             ("ddim4", &mut Ddim::new(4, 0.0)),
         ] {
-            let mut rng = StdRng::seed_from_u64(11);
-            let mut acc = 0.0;
-            for _ in 0..10 {
-                let x0 = run_solver(solver, &schedule, target, 0.0, &mut rng);
-                acc += x0.mean();
-            }
-            let mean = acc / 10.0;
+            let mean = oracle_mean(solver, &schedule, target, 11, 10);
             assert!(
                 (mean - target as f64).abs() < 0.08,
                 "{name}: expected ~{target}, got {mean}"

@@ -16,6 +16,9 @@
 //! wrong-shape windows, full queues, missed deadlines — is a typed
 //! [`pristi_core::PristiError`], never a panic.
 //!
+//! [`stream`] adds sliding-window sessions for live feeds, and [`wire`] is
+//! the one JSONL front end `pristi serve` runs in both modes.
+//!
 //! Batched serving also rides the prior-cached inference path (DESIGN.md
 //! §11): each coalesced batch builds one [`pristi_core::PriorCache`] — the
 //! step-invariant attention weights, adaptive adjacency, and auxiliary
@@ -27,6 +30,7 @@
 pub mod ckpt;
 pub mod service;
 pub mod stream;
+pub mod wire;
 
 pub use ckpt::{
     checkpoint_from_bytes, checkpoint_to_bytes, load_checkpoint, save_checkpoint, CKPT_MAGIC,
@@ -35,7 +39,4 @@ pub use ckpt::{
 pub use service::{
     request_rng, AdmissionTier, FaultHook, ImputeRequest, ImputeService, ServeConfig,
 };
-pub use stream::{
-    run_stream, stream_rng, StreamConfig, StreamServerConfig, StreamSession, StreamSummary, Tick,
-    TickOutput,
-};
+pub use stream::{stream_rng, StreamConfig, StreamSession, Tick, TickOutput};

@@ -91,7 +91,8 @@ pub struct ServeConfig {
     /// the shared queue against the same `Arc`-shared model; results are
     /// bitwise independent of this number.
     pub workers: usize,
-    /// Cap on the coalesced ensemble axis `S_total` of one micro-batch.
+    /// Cap on the coalesced ensemble axis `S_total` of one micro-batch, and
+    /// so on the `n_samples` of any one request.
     pub max_batch_samples: usize,
     /// Deadline for [`AdmissionTier::Interactive`] requests that do not set
     /// their own.
@@ -330,9 +331,10 @@ impl ImputeService {
     ///
     /// Malformed requests fail fast without reaching the queue:
     /// [`PristiError::ShapeMismatch`] for a window that disagrees with the
-    /// model, [`PristiError::DegenerateConfig`] for a zero ensemble or a
-    /// zero-step DDIM. Admission rejections are [`PristiError::QueueFull`]
-    /// (`shed` distinguishes load-shedding from hard capacity); a request
+    /// model, [`PristiError::DegenerateConfig`] for a zero-step DDIM or an
+    /// ensemble of zero or more than [`ServeConfig::max_batch_samples`].
+    /// Admission rejections are [`PristiError::QueueFull`] (`shed`
+    /// distinguishes load-shedding from hard capacity); a request
     /// that out-waits its deadline is [`PristiError::Timeout`]; a request
     /// arriving during drain is [`PristiError::ServiceStopped`].
     pub fn submit(&self, req: ImputeRequest) -> Result<ImputationResult> {
@@ -374,10 +376,14 @@ impl ImputeService {
     /// Submit-time validation, so one malformed request can never poison a
     /// coalesced batch.
     fn validate(&self, req: &ImputeRequest) -> Result<()> {
-        if req.n_samples < 1 {
-            return Err(PristiError::DegenerateConfig(
-                "need at least one sample per request".into(),
-            ));
+        // The cap also bounds what one request line can make a worker
+        // allocate: the ensemble is `n_samples` full windows per step.
+        let cap = self.shared.cfg.max_batch_samples;
+        if req.n_samples < 1 || req.n_samples > cap {
+            return Err(PristiError::DegenerateConfig(format!(
+                "n_samples must be in 1..={cap} (max_batch_samples), got {}",
+                req.n_samples
+            )));
         }
         // Same sampler-spec rules as `impute_batch` and the CLI parser — one
         // validation surface (`Sampler::validate`) for the whole system.
@@ -568,11 +574,7 @@ fn serve_batch(shared: &Shared, trained: &TrainedModel, widx: usize, batch: Vec<
         // poisoned (queued requests drain with typed errors, submits are
         // rejected), and shutdown still joins every worker.
         Err(payload) => {
-            let detail = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "panic with non-string payload".into());
+            let detail = panic_message(&*payload);
             st_obs::counter_add("serve.worker_panics", 1.0);
             // Poison BEFORE answering the batch: a caller that has seen its
             // typed error must find the service already stopping, so a
@@ -589,4 +591,13 @@ fn serve_batch(shared: &Shared, trained: &TrainedModel, widx: usize, batch: Vec<
             }
         }
     }
+}
+
+/// The message a caught panic carried, for a typed `WorkerPanicked` error.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_else(|| "panic with non-string payload".into())
 }

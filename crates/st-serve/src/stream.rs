@@ -1,5 +1,5 @@
 //! Streaming online imputation: a sliding-window session with incremental
-//! prior updates, and a JSONL engine behind `pristi serve --stream`.
+//! prior updates, served by `pristi serve --stream`.
 //!
 //! Real sensor feeds don't arrive as independent windows. A
 //! [`StreamSession`] holds the current `[N, L]` window for one feed, shifts
@@ -38,23 +38,8 @@
 //! the session's RNG sequence) — the source of the amortised per-tick win
 //! the `stream_tick` micro-benchmarks measure.
 //!
-//! # Wire format (JSONL, one tick in → one response out)
-//!
-//! ```text
-//! data tick: {"id":1,"session":0,"tick":[21.0,null,17.5]}
-//! reimpute:  {"id":2,"session":0,"reimpute":true}
-//! response:  {"id":1,"ok":true,"session":0,"step":7,"watermark":4,
-//!             "imputed":true,"revisions":[
-//!               {"node":1,"step":6,"q05":12.1,"q50":14.9,"q95":17.0},...]}
-//! error:     {"id":null,"ok":false,"error":{"kind":"bad_request",
-//!             "detail":"tick needs N cells","line":3}}
-//! ```
-//!
-//! `tick` carries one cell per sensor (`null` = missing). `session`
-//! (default 0) multiplexes independent feeds over one connection; sessions
-//! are sharded across `workers` threads by `session % workers`, and a
-//! sequence-numbered reorder buffer keeps responses in input order, so
-//! output bytes are invariant to the worker count.
+//! The JSONL tick format, and the shards that multiplex many sessions over
+//! one connection, live in [`crate::wire`].
 
 use pristi_core::train::TrainedModel;
 use pristi_core::{
@@ -62,12 +47,8 @@ use pristi_core::{
     Result, Sampler,
 };
 use st_data::SlidingInterp;
-use st_obs::json::{self, Json};
 use st_rand::{SeedableRng, StdRng};
 use st_tensor::NdArray;
-use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, Write};
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// Per-session streaming parameters, shared by every session of one engine.
@@ -343,291 +324,4 @@ impl StreamSession {
         let opts = ImputeOptions { n_samples: self.cfg.n_samples, sampler: self.cfg.sampler };
         impute_prepared(&self.trained, &prep, &opts, &mut rng, self.prior.as_ref())
     }
-}
-
-// ---------------------------------------------------------------------------
-// JSONL engine
-// ---------------------------------------------------------------------------
-
-/// Engine configuration: per-session parameters plus the worker count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamServerConfig {
-    /// Parameters every session of this engine runs with.
-    pub session: StreamConfig,
-    /// Worker threads; sessions are sharded by `session_id % workers`.
-    /// Output bytes are invariant to this (reorder buffer).
-    pub workers: usize,
-}
-
-impl Default for StreamServerConfig {
-    fn default() -> Self {
-        Self { session: StreamConfig::default(), workers: 1 }
-    }
-}
-
-/// Totals of one [`run_stream`] drive.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamSummary {
-    /// Lines answered `ok:true`.
-    pub ok: u64,
-    /// Lines answered with a typed error.
-    pub errors: u64,
-    /// Ticks that ran a reverse pass.
-    pub imputes: u64,
-    /// Ticks that skipped the reverse pass (no open gaps).
-    pub skips: u64,
-}
-
-/// One parsed input line, routed to a session worker.
-struct WorkItem {
-    seq: u64,
-    line_no: u64,
-    id: Option<u64>,
-    session: u64,
-    tick: Tick,
-}
-
-/// Drive the streaming JSONL loop: ticks in on `input`, one response per
-/// line out on `output`, in input order regardless of `cfg.workers`.
-///
-/// Used by `pristi serve --stream` (stdin/stdout) and driven in-memory by
-/// the loadtest harness and the stream test-suite. Only I/O failures are
-/// `Err`; malformed lines and per-tick imputation failures become typed
-/// error *responses* (see the [module docs](self)) and the loop continues.
-pub fn run_stream<R: BufRead, W: Write>(
-    trained: Arc<TrainedModel>,
-    cfg: &StreamServerConfig,
-    input: R,
-    mut output: W,
-) -> std::io::Result<StreamSummary> {
-    let workers = cfg.workers.max(1);
-    let session_cfg = cfg.session;
-    let mut summary = StreamSummary::default();
-    std::thread::scope(|scope| -> std::io::Result<StreamSummary> {
-        // Reorder sink: workers (and the parse loop, for error lines) send
-        // `(seq, imputed, response)`; responses leave in `seq` order.
-        let (out_tx, out_rx) = mpsc::channel::<(u64, Option<bool>, String)>();
-        let worker_txs: Vec<mpsc::Sender<WorkItem>> = (0..workers)
-            .map(|widx| {
-                let (tx, rx) = mpsc::channel::<WorkItem>();
-                let trained = Arc::clone(&trained);
-                let out_tx = out_tx.clone();
-                scope.spawn(move || worker_loop(widx, trained, session_cfg, rx, out_tx));
-                tx
-            })
-            .collect();
-
-        let mut seq = 0u64;
-        let mut line_no = 0u64;
-        for line in input.lines() {
-            let line = line?;
-            line_no += 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_tick(&line) {
-                Ok((id, session, tick)) => {
-                    let item = WorkItem { seq, line_no, id: Some(id), session, tick };
-                    let widx = (session % workers as u64) as usize;
-                    worker_txs[widx].send(item).expect("stream worker hung up");
-                }
-                Err((id, kind, detail)) => {
-                    st_obs::counter_add("stream.errors", 1.0);
-                    let resp = error_line(id, kind, &detail, line_no);
-                    out_tx.send((seq, None, resp)).expect("stream sink hung up");
-                }
-            }
-            seq += 1;
-        }
-        drop(worker_txs);
-        drop(out_tx);
-
-        // Drain the sink in sequence order; flush per line so an
-        // interactive client never deadlocks on a buffered response.
-        let mut pending: BTreeMap<u64, (Option<bool>, String)> = BTreeMap::new();
-        let mut next_seq = 0u64;
-        for (s, imputed, resp) in out_rx {
-            pending.insert(s, (imputed, resp));
-            while let Some((imputed, resp)) = pending.remove(&next_seq) {
-                match imputed {
-                    None => summary.errors += 1,
-                    Some(true) => {
-                        summary.ok += 1;
-                        summary.imputes += 1;
-                    }
-                    Some(false) => {
-                        summary.ok += 1;
-                        summary.skips += 1;
-                    }
-                }
-                writeln!(output, "{resp}")?;
-                output.flush()?;
-                next_seq += 1;
-            }
-        }
-        assert!(pending.is_empty(), "stream reorder buffer drained out of order");
-        Ok(summary)
-    })
-}
-
-/// One shard's loop: owns every session with `session_id % workers == widx`,
-/// processes its ticks in arrival order, reports each response to the sink.
-fn worker_loop(
-    widx: usize,
-    trained: Arc<TrainedModel>,
-    cfg: StreamConfig,
-    rx: mpsc::Receiver<WorkItem>,
-    out_tx: mpsc::Sender<(u64, Option<bool>, String)>,
-) {
-    let mut sessions: HashMap<u64, StreamSession> = HashMap::new();
-    for item in rx {
-        let t0 = std::time::Instant::now();
-        let trace = st_obs::next_trace_id();
-        let _trace = st_obs::trace_scope(trace);
-        let _span = st_obs::span!(
-            "stream_tick",
-            worker = widx as u64,
-            session = item.session,
-            seq = item.seq,
-        );
-        st_obs::counter_add("stream.ticks", 1.0);
-        let (imputed, resp) = match serve_tick(&trained, cfg, &mut sessions, &item) {
-            Ok(out) => {
-                st_obs::counter_add(
-                    if out.imputed { "stream.imputes" } else { "stream.skips" },
-                    1.0,
-                );
-                st_obs::hist_record("stream.revisions", out.revisions.len() as f64);
-                (Some(out.imputed), ok_line(item.id.unwrap_or(0), item.session, &out))
-            }
-            Err(e) => {
-                st_obs::counter_add("stream.errors", 1.0);
-                (None, error_line(item.id, e.kind(), &e.to_string(), item.line_no))
-            }
-        };
-        st_obs::hist_record("stream.tick_ms", t0.elapsed().as_secs_f64() * 1e3);
-        st_obs::gauge_set("stream.sessions", sessions.len() as f64);
-        if out_tx.send((item.seq, imputed, resp)).is_err() {
-            return; // sink gone: the driver already failed on I/O
-        }
-    }
-}
-
-/// Route one work item to its session, opening the session on first use.
-/// A panic inside the model is contained: the session is dropped and the
-/// tick answered with a typed `worker_panicked` error.
-fn serve_tick(
-    trained: &Arc<TrainedModel>,
-    cfg: StreamConfig,
-    sessions: &mut HashMap<u64, StreamSession>,
-    item: &WorkItem,
-) -> Result<TickOutput> {
-    let session = match sessions.entry(item.session) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(e) => {
-            let session = StreamSession::new(Arc::clone(trained), cfg, item.session)?;
-            st_obs::counter_add("stream.sessions_opened", 1.0);
-            e.insert(session)
-        }
-    };
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.tick(&item.tick)));
-    match outcome {
-        Ok(res) => res,
-        Err(panic) => {
-            sessions.remove(&item.session);
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into());
-            Err(PristiError::WorkerPanicked(msg))
-        }
-    }
-}
-
-/// Parse failure for one wire line: `(id-if-known, kind, detail)`.
-type ParseFailure = (Option<u64>, &'static str, String);
-
-/// Parse one wire line into `(id, session, tick)`.
-fn parse_tick(line: &str) -> std::result::Result<(u64, u64, Tick), ParseFailure> {
-    let obj = json::parse(line).map_err(|e| (None, "bad_json", format!("bad JSON: {e}")))?;
-    let id = obj.get("id").and_then(Json::as_u64);
-    let fail = |detail: String| (id, "bad_request", detail);
-    let id = id.ok_or_else(|| fail("tick needs a numeric \"id\"".into()))?;
-    let fail = |detail: String| (Some(id), "bad_request", detail);
-    let session = match obj.get("session") {
-        None => 0,
-        Some(s) => s.as_u64().ok_or_else(|| fail("\"session\" must be a non-negative integer".into()))?,
-    };
-    let reimpute = match obj.get("reimpute") {
-        None | Some(Json::Bool(false)) => false,
-        Some(Json::Bool(true)) => true,
-        Some(_) => return Err(fail("\"reimpute\" must be a boolean".into())),
-    };
-    match (obj.get("tick"), reimpute) {
-        (Some(_), true) => Err(fail("\"tick\" and \"reimpute\" are mutually exclusive".into())),
-        (None, true) => Ok((id, session, Tick::Reimpute)),
-        (None, false) => Err(fail("tick needs a \"tick\" cell array or \"reimpute\":true".into())),
-        (Some(cells), false) => {
-            let cells = cells
-                .as_arr()
-                .ok_or_else(|| fail("\"tick\" must be an array of cells".into()))?;
-            let mut out = Vec::with_capacity(cells.len());
-            for (i, cell) in cells.iter().enumerate() {
-                match cell {
-                    Json::Null => out.push(None),
-                    other => match other.as_f64() {
-                        Some(v) => out.push(Some(v as f32)),
-                        None => return Err(fail(format!("cell [{i}] must be a number or null"))),
-                    },
-                }
-            }
-            Ok((id, session, Tick::Data(out)))
-        }
-    }
-}
-
-/// Render a finite f32 (or `null`) for the wire.
-fn num_json(v: f32) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-/// Render one `ok:true` response line.
-fn ok_line(id: u64, session: u64, out: &TickOutput) -> String {
-    let mut revs = String::from("[");
-    for (i, r) in out.revisions.iter().enumerate() {
-        if i > 0 {
-            revs.push(',');
-        }
-        revs.push_str(&format!(
-            "{{\"node\":{},\"step\":{},\"q05\":{},\"q50\":{},\"q95\":{}}}",
-            r.node,
-            r.step,
-            num_json(r.q05),
-            num_json(r.q50),
-            num_json(r.q95)
-        ));
-    }
-    revs.push(']');
-    format!(
-        "{{\"id\":{id},\"ok\":true,\"session\":{session},\"step\":{},\"watermark\":{},\
-         \"imputed\":{},\"revisions\":{revs}}}",
-        out.step, out.watermark, out.imputed
-    )
-}
-
-/// Render one typed error response line — the same
-/// `{"id":..,"ok":false,"error":{kind,detail,line}}` shape `pristi serve`
-/// uses in request mode (README §Command line).
-pub fn error_line(id: Option<u64>, kind: &str, detail: &str, line_no: u64) -> String {
-    let id = id.map_or_else(|| "null".to_string(), |v| v.to_string());
-    format!(
-        "{{\"id\":{id},\"ok\":false,\"error\":{{\"kind\":{},\"detail\":{},\"line\":{line_no}}}}}",
-        json::escape(kind),
-        json::escape(detail)
-    )
 }

@@ -188,6 +188,15 @@ fn failure_modes_are_typed_errors() {
             service.submit(request(5, &short, 2)),
             Err(PristiError::ShapeMismatch { what: "window length", .. })
         ));
+        // An ensemble over `max_batch_samples` (default 32) is refused before
+        // a worker tries to allocate it; 4e9 samples would need terabytes.
+        for n_samples in [33, 4_000_000_000] {
+            assert!(matches!(
+                service.submit(request(7, w, n_samples)),
+                Err(PristiError::DegenerateConfig(_))
+            ));
+        }
+        assert_eq!(service.submit(request(8, w, 32)).unwrap().n_samples(), 32);
         // A healthy request still succeeds after the rejects.
         assert_eq!(service.submit(request(6, w, 2)).unwrap().n_samples(), 2);
     }

@@ -10,11 +10,9 @@ use st_data::dataset::Window;
 use st_data::generators::{generate_air_quality, AirQualityConfig};
 use st_data::missing::inject_point_missing;
 use st_rand::{Rng, SeedableRng, StdRng};
-use st_serve::{
-    run_stream, stream_rng, StreamConfig, StreamServerConfig, StreamSession, Tick,
-};
+use st_serve::wire::{serve_lines, Engine, Summary};
+use st_serve::{stream_rng, StreamConfig, StreamSession, Tick};
 use st_tensor::NdArray;
-use std::io::Cursor;
 use std::sync::Arc;
 
 const N: usize = 8;
@@ -210,6 +208,19 @@ fn session_replay_is_bitwise_identical() {
     assert_eq!(run(&trained), run(&trained));
 }
 
+/// Drive the stream front end over `log`; the answers and the totals.
+fn run_stream(
+    trained: &Arc<pristi_core::TrainedModel>,
+    session: StreamConfig,
+    workers: usize,
+    log: &str,
+) -> (String, Summary) {
+    let engine = Engine::Stream { trained: Arc::clone(trained), session, workers };
+    let mut out = Vec::new();
+    let summary = serve_lines(engine, log.as_bytes(), &mut out).unwrap();
+    (String::from_utf8(out).unwrap(), summary)
+}
+
 /// Build an interleaved multi-session JSONL log, with some malformed lines.
 fn jsonl_log() -> String {
     let mut lines = Vec::new();
@@ -248,11 +259,8 @@ fn engine_output_invariant_to_workers_and_replay() {
     let mut outputs = Vec::new();
     let mut summaries = Vec::new();
     for workers in [1usize, 2, 2] {
-        let cfg = StreamServerConfig { session, workers };
-        let mut out = Vec::new();
-        let summary =
-            run_stream(Arc::clone(&trained), &cfg, Cursor::new(log.as_bytes()), &mut out).unwrap();
-        outputs.push(String::from_utf8(out).unwrap());
+        let (out, summary) = run_stream(&trained, session, workers, &log);
+        outputs.push(out);
         summaries.push(summary);
     }
     assert_eq!(outputs[0], outputs[1], "worker count changed output bytes");
@@ -271,21 +279,15 @@ fn engine_output_invariant_to_workers_and_replay() {
 #[test]
 fn error_lines_are_typed_and_line_numbered() {
     let trained = Arc::new(trained_setup());
-    let cfg = StreamServerConfig {
-        session: StreamConfig { n_samples: 2, ..Default::default() },
-        workers: 1,
-    };
     let log = "not json\n\
                {\"id\":1,\"tick\":[1,2]}\n\
                {\"id\":2,\"reimpute\":true}\n\
                {\"tick\":[1,2,3]}\n\
                {\"id\":3,\"tick\":[1,2],\"reimpute\":true}\n";
-    let mut out = Vec::new();
-    let summary =
-        run_stream(Arc::clone(&trained), &cfg, Cursor::new(log.as_bytes()), &mut out).unwrap();
+    let session = StreamConfig { n_samples: 2, ..Default::default() };
+    let (out, summary) = run_stream(&trained, session, 1, log);
     assert_eq!(summary.errors, 5);
     assert_eq!(summary.ok, 0);
-    let out = String::from_utf8(out).unwrap();
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 5);
     // line 1: not JSON at all

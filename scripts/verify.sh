@@ -159,6 +159,33 @@ grep -q '"watermark":' "$SMOKE_DIR/stream_a.jsonl" \
     || { echo "error: stream responses missing the settled watermark" >&2; exit 1; }
 echo "stream smoke: 13 ticks, replay + --workers 4 byte-identical"
 
+echo "== interactive serve: one request and one tick answered while stdin is open =="
+# Start a live server, write one line, and require its answer within 30 s
+# while stdin stays open: an answer that waits for EOF fails here.
+answer_while_open() {
+    local line="$1" want="$2"
+    shift 2
+    coproc LIVE { "$PRISTI" "$@" 2>/dev/null; }
+    local in_fd="${LIVE[1]}" out_fd="${LIVE[0]}" pid="$LIVE_PID" answer=""
+    printf '%s\n' "$line" >&"$in_fd"
+    if ! read -r -t 30 answer <&"$out_fd"; then
+        kill "$pid" 2>/dev/null || true
+        echo "error: pristi $1 $2: no answer within 30 s while stdin was open" >&2
+        exit 1
+    fi
+    exec {in_fd}>&-
+    wait "$pid"
+    case "$answer" in
+        "$want"*) ;;
+        *) echo "error: pristi $1 $2: unexpected answer: $answer" >&2; exit 1 ;;
+    esac
+}
+answer_while_open "$(head -n 1 "$SMOKE_DIR/requests.jsonl")" '{"id":1,"ok":true,"median":[[' \
+    serve --ckpt "$SMOKE_DIR/model.ckpt"
+answer_while_open "$(head -n 1 "$SMOKE_DIR/ticks.jsonl")" '{"id":1,"ok":true,"session":0,' \
+    serve --stream --ckpt "$SMOKE_DIR/model.ckpt" --samples 2
+echo "interactive serve: request and tick each answered before stdin closed"
+
 echo "== loadtest: schema, entries, and seeded determinism =="
 "$PRISTI" loadtest --quick --stream --seed 7 --out "$SMOKE_DIR/serve_a.json" 2>/dev/null
 grep -q '"schema":"st-serve-bench/1"' "$SMOKE_DIR/serve_a.json" \

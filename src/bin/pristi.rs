@@ -30,61 +30,30 @@
 //! `st-ckpt/1` file; `checkpoint load-verify` proves a file parses, verifies
 //! its checksum, and rebuilds the model. `serve` loads a checkpoint into a
 //! micro-batching [`st_serve::ImputeService`] and answers JSONL requests from
-//! stdin with one JSON response per line on stdout:
-//!
-//! ```text
-//! request:  {"id": 1, "values": [[1.0, null, ...], ...N rows of L cells...],
-//!            "n_samples": 8, "ddim_steps": 4}
-//! response: {"id": 1, "ok": true, "median": [[...]], "q05": [[...]], "q95": [[...]]}
-//! failure:  {"id": 1, "ok": false, "error": {"kind": "shape_mismatch",
-//!            "detail": "shape mismatch for ...", "line": 1}}
-//! ```
-//!
-//! Failures share one typed shape across request and stream modes:
-//! `error.kind` is the stable machine-readable label
-//! ([`pristi_core::PristiError::kind`] for service errors, `bad_json` /
-//! `bad_request` for parse failures), `error.detail` the human-readable
-//! message, and `error.line` the 1-based stdin line that caused it.
-//!
-//! `serve --stream` switches the same binary into sliding-window streaming:
-//! JSONL *ticks* in (one column of sensor readings per line), revised
-//! quantiles for still-open gaps out, with the conditional prior updated
-//! incrementally between ticks — see [`st_serve::stream`] for the wire
-//! format and README §Streaming for a runnable example.
-//!
-//! `null` cells are the missing values to impute; a `"sampler"` spec string
-//! (`"ddpm"`, `"ddim:K[:ETA]"`, `"pndm:K[:ORDER]"`, `"refine:K[:STRENGTH]"` —
-//! the same grammar as the `--sampler` flag) picks the reverse-process solver
-//! per request, with the older `"ddim_steps": K` integer kept as an alias for
-//! `"ddim:K"` (and an optional `"tier"` of `"interactive"` or `"best_effort"`
-//! selects the admission-control tier). Requests batch together exactly when
-//! their sampler specs are equal. Responses reproduce bit-for-bit for the
-//! same checkpoint, `--seed`, and request `id`, regardless of batching or
-//! `--workers` count.
+//! stdin with one JSON line each on stdout; `serve --stream` answers JSONL
+//! ticks of a live feed with revised quantiles for its still-open gaps (see
+//! [`st_serve::stream`] and README §Streaming). Both modes share one front
+//! end, [`st_serve::wire`], whose docs give the wire format and the typed
+//! error shape.
 //!
 //! `loadtest` drives the same service with a seeded closed-loop schedule and
 //! writes `BENCH_serve.json` (see the [`loadtest`] module docs).
 
-use pristi_core::train::{train, MaskStrategyKind, Reporter, TrainConfig};
+use pristi_core::train::{train, MaskStrategyKind, Reporter, TrainConfig, TrainedModel};
 use pristi_core::{impute, ImputeOptions, PristiConfig, Sampler};
 use st_rand::StdRng;
 use st_rand::SeedableRng;
 use st_baselines::visible;
-use st_data::dataset::Window;
 use st_data::generators::{generate_air_quality, generate_traffic, AirQualityConfig, TrafficConfig};
 use st_data::io::{load_dataset, panel_to_csv};
 use st_data::SpatioTemporalDataset;
-use st_obs::json::{self, Json};
-use st_serve::stream::error_line;
-use st_serve::{
-    load_checkpoint, run_stream, save_checkpoint, AdmissionTier, ImputeRequest, ImputeService,
-    ServeConfig, StreamConfig, StreamServerConfig,
-};
+use st_serve::wire::{serve_lines, Engine};
+use st_serve::{load_checkpoint, save_checkpoint, ImputeService, ServeConfig, StreamConfig};
 use st_tensor::NdArray;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 // A crate root's submodules resolve beside it (`src/bin/`), where any `.rs`
@@ -97,64 +66,52 @@ mod profile;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("impute") => run_impute(parse_flags(&args[1..])),
-        Some("generate") => run_generate(parse_flags(&args[1..])),
+        Some("impute") => with_flags(&args[1..], run_impute),
+        Some("generate") => with_flags(&args[1..], run_generate),
         Some("serve") => {
             // `--stream` is a boolean mode switch, not a `--key value` pair.
-            let mut rest: Vec<String> = args[1..].to_vec();
-            let stream = match rest.iter().position(|a| a == "--stream") {
-                Some(pos) => {
-                    rest.remove(pos);
-                    true
-                }
-                None => false,
-            };
-            if stream {
-                run_serve_stream(parse_flags(&rest))
-            } else {
-                run_serve(parse_flags(&rest))
-            }
+            let stream = args.iter().any(|a| a == "--stream");
+            let rest: Vec<String> =
+                args[1..].iter().filter(|a| *a != "--stream").cloned().collect();
+            with_flags(&rest, |flags| run_serve(flags, stream))
         }
         Some("loadtest") => loadtest::run(&args[1..]),
         Some("profile") => profile::run(&args[1..]),
         Some("bench") => run_bench(&args[1..]),
         Some("checkpoint") => match args.get(1).map(String::as_str) {
-            Some("save") => run_checkpoint_save(parse_flags(&args[2..])),
-            Some("load-verify") => run_checkpoint_verify(parse_flags(&args[2..])),
-            _ => {
-                eprintln!("usage: pristi checkpoint <save|load-verify> [--flag value]...");
-                eprintln!("  pristi checkpoint save --data panel.csv --coords coords.csv --out model.ckpt");
-                eprintln!("                         [--epochs N] [--window L] [--steps-per-day N] [--seed N]");
-                eprintln!("  pristi checkpoint load-verify --ckpt model.ckpt");
-                ExitCode::from(2)
-            }
+            Some("save") => with_flags(&args[2..], run_checkpoint_save),
+            Some("load-verify") => with_flags(&args[2..], run_checkpoint_verify),
+            _ => usage(),
         },
-        _ => {
-            eprintln!("usage: pristi <impute|generate|checkpoint|serve|loadtest> [--flag value]...");
-            eprintln!("  pristi generate --kind aqi|metr-la|pems-bay --out panel.csv --coords-out coords.csv");
-            eprintln!("  pristi impute --data panel.csv --coords coords.csv --out imputed.csv");
-            eprintln!("                [--epochs N] [--samples S] [--window L]");
-            eprintln!("                [--sampler ddpm|ddim:K[:ETA]|pndm:K[:ORDER]|refine:K[:STRENGTH] | --ddim K]");
-            eprintln!("                [--steps-per-day N] [--quantiles lo.csv,hi.csv] [--seed N]");
-            eprintln!("  pristi checkpoint save --data panel.csv --coords coords.csv --out model.ckpt");
-            eprintln!("  pristi checkpoint load-verify --ckpt model.ckpt");
-            eprintln!("  pristi serve --ckpt model.ckpt [--samples S] [--sampler SPEC | --ddim K]");
-            eprintln!("               [--batch S_max] [--deadline-ms N] [--seed N] [--workers N]");
-            eprintln!("               (JSONL requests on stdin)");
-            eprintln!("  pristi serve --stream --ckpt model.ckpt [--samples S] [--sampler SPEC]");
-            eprintln!("               [--horizon H] [--seed N] [--workers N]");
-            eprintln!("               (JSONL ticks on stdin, revised imputations out)");
-            eprintln!("  pristi loadtest [--seed N] [--clients C] [--requests R] [--workers 1,4]");
-            eprintln!("                  [--out BENCH_serve.json] [--ckpt model.ckpt] [--quick]");
-            eprintln!("                  [--stream]");
-            eprintln!("  pristi profile  [--seed N] [--out PROFILE.json] [--folded PROFILE_folded.txt]");
-            eprintln!("                  [--quick]");
-            eprintln!("  pristi bench --compare OLD,NEW [--threshold-pct P]");
-            eprintln!("  pristi bench --sweep [--quick] [--seed N] [--out PATH]");
-            eprintln!("  pristi bench --filter <substr> [--quick] [--json]");
-            ExitCode::from(2)
-        }
+        _ => usage(),
     }
+}
+
+fn usage() -> ExitCode {
+    eprintln!("usage: pristi <impute|generate|checkpoint|serve|loadtest> [--flag value]...");
+    eprintln!("  pristi generate --kind aqi|metr-la|pems-bay --out panel.csv --coords-out coords.csv");
+    eprintln!("  pristi impute --data panel.csv --coords coords.csv --out imputed.csv");
+    eprintln!("                [--epochs N] [--samples S] [--window L]");
+    eprintln!("                [--sampler ddpm|ddim:K[:ETA]|pndm:K[:ORDER]|refine:K[:STRENGTH] | --ddim K]");
+    eprintln!("                [--steps-per-day N] [--quantiles lo.csv,hi.csv] [--seed N]");
+    eprintln!("  pristi checkpoint save --data panel.csv --coords coords.csv --out model.ckpt");
+    eprintln!("                         [--epochs N] [--window L] [--steps-per-day N] [--seed N]");
+    eprintln!("  pristi checkpoint load-verify --ckpt model.ckpt");
+    eprintln!("  pristi serve --ckpt model.ckpt [--samples S] [--sampler SPEC | --ddim K]");
+    eprintln!("               [--batch S_max] [--deadline-ms N] [--seed N] [--workers N]");
+    eprintln!("               (JSONL requests on stdin)");
+    eprintln!("  pristi serve --stream --ckpt model.ckpt [--samples S] [--sampler SPEC]");
+    eprintln!("               [--horizon H] [--seed N] [--workers N]");
+    eprintln!("               (JSONL ticks on stdin, revised imputations out)");
+    eprintln!("  pristi loadtest [--seed N] [--clients C] [--requests R] [--workers 1,4]");
+    eprintln!("                  [--out BENCH_serve.json] [--ckpt model.ckpt] [--quick]");
+    eprintln!("                  [--stream]");
+    eprintln!("  pristi profile  [--seed N] [--out PROFILE.json] [--folded PROFILE_folded.txt]");
+    eprintln!("                  [--quick]");
+    eprintln!("  pristi bench --compare OLD,NEW [--threshold-pct P]");
+    eprintln!("  pristi bench --sweep [--quick] [--seed N] [--out PATH]");
+    eprintln!("  pristi bench --filter <substr> [--quick] [--json]");
+    ExitCode::from(2)
 }
 
 /// `pristi bench` dispatcher:
@@ -368,47 +325,79 @@ fn run_bench_compare(args: &[String]) -> ExitCode {
     }
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut out = HashMap::new();
+/// Flags whose value must be a non-negative integer.
+const NUMERIC_FLAGS: [&str; 9] = [
+    "seed", "epochs", "samples", "window", "steps-per-day", "batch", "workers", "deadline-ms",
+    "horizon",
+];
+
+/// Run `cmd` on the `--key value` pairs of `args`, or exit 2 naming a
+/// numeric flag whose value is not a non-negative integer.
+fn with_flags(
+    args: &[String],
+    cmd: impl FnOnce(HashMap<String, String>) -> Result<(), ExitCode>,
+) -> ExitCode {
+    let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() {
-                out.insert(key.to_string(), args[i + 1].clone());
+        match (args[i].strip_prefix("--"), args.get(i + 1)) {
+            (Some(key), Some(value)) => {
+                if NUMERIC_FLAGS.contains(&key) && value.parse::<usize>().is_err() {
+                    return usage_error(format!(
+                        "--{key} needs a non-negative integer, got `{value}`"
+                    ));
+                }
+                flags.insert(key.to_string(), value.clone());
                 i += 2;
-                continue;
+            }
+            _ => {
+                eprintln!("warning: ignoring stray argument `{}`", args[i]);
+                i += 1;
             }
         }
-        eprintln!("warning: ignoring stray argument `{}`", args[i]);
-        i += 1;
     }
-    out
+    cmd(flags).err().unwrap_or(ExitCode::SUCCESS)
+}
+
+/// Report a usage error: exit code 2.
+fn usage_error(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::from(2)
+}
+
+/// Report a failure as `what: error`: exit code 1.
+fn failed<E: std::fmt::Display>(what: &str) -> impl FnOnce(E) -> ExitCode + '_ {
+    move |e| {
+        eprintln!("{what}: {e}");
+        ExitCode::FAILURE
+    }
 }
 
 fn get_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    debug_assert!(NUMERIC_FLAGS.contains(&key), "with_flags does not check --{key}");
+    flags.get(key).map_or(default, |v| v.parse().expect("with_flags checked numeric flags"))
 }
 
 /// Resolve the sampler from `--sampler SPEC` (the shared spec grammar:
 /// `ddpm`, `ddim:K[:ETA]`, `pndm:K[:ORDER]`, `refine:K[:STRENGTH]`) with
 /// `--ddim K` kept as a back-compat alias for `ddim:K`. Neither flag means
-/// `default` (full DDPM for the CLI entry points).
+/// `default`; a malformed flag is a usage error.
 fn parse_sampler_flags(
     flags: &HashMap<String, String>,
     default: Sampler,
-) -> Result<Sampler, String> {
+) -> Result<Sampler, ExitCode> {
     match (flags.get("sampler"), flags.get("ddim")) {
-        (Some(_), Some(_)) => Err("--sampler and --ddim are mutually exclusive".into()),
-        (Some(spec), None) => spec.parse::<Sampler>().map_err(|e| e.to_string()),
+        (Some(_), Some(_)) => Err(usage_error("--sampler and --ddim are mutually exclusive")),
+        (Some(spec), None) => spec.parse::<Sampler>().map_err(usage_error),
         (None, Some(k)) => {
-            let steps = k.parse::<usize>().map_err(|_| format!("bad --ddim value `{k}`"))?;
+            let steps = k.parse().map_err(|_| usage_error(format!("bad --ddim value `{k}`")))?;
             Ok(Sampler::Ddim { steps, eta: 0.0 })
         }
         (None, None) => Ok(default),
     }
 }
 
-fn run_generate(flags: HashMap<String, String>) -> ExitCode {
+fn run_generate(flags: HashMap<String, String>) -> Result<(), ExitCode> {
     let kind = flags.get("kind").map(String::as_str).unwrap_or("aqi");
     let out = flags.get("out").map(String::as_str).unwrap_or("panel.csv");
     let coords_out = flags.get("coords-out").map(String::as_str).unwrap_or("coords.csv");
@@ -418,8 +407,9 @@ fn run_generate(flags: HashMap<String, String>) -> ExitCode {
         "metr-la" => generate_traffic(&TrafficConfig { seed, ..TrafficConfig::metr_la() }),
         "pems-bay" => generate_traffic(&TrafficConfig { seed, ..TrafficConfig::pems_bay() }),
         other => {
-            eprintln!("unknown --kind `{other}` (expected aqi|metr-la|pems-bay)");
-            return ExitCode::from(2);
+            return Err(usage_error(format!(
+                "unknown --kind `{other}` (expected aqi|metr-la|pems-bay)"
+            )))
         }
     };
     let sensors: Vec<String> = (0..data.n_nodes()).map(|i| format!("s{i}")).collect();
@@ -447,46 +437,28 @@ fn run_generate(flags: HashMap<String, String>) -> ExitCode {
     for (i, c) in data.graph.coords.iter().enumerate() {
         coords.push_str(&format!("s{i},{:.4},{:.4}\n", c.x, c.y));
     }
-    if let Err(e) = std::fs::write(out, csv).and_then(|_| std::fs::write(coords_out, coords)) {
-        eprintln!("write failed: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(out, csv)
+        .and_then(|_| std::fs::write(coords_out, coords))
+        .map_err(failed("write failed"))?;
     println!(
         "generated {kind}-like panel: {t} steps x {n} sensors -> {out}, coordinates -> {coords_out}"
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn run_impute(flags: HashMap<String, String>) -> ExitCode {
-    let Some(data_path) = flags.get("data") else {
-        eprintln!("--data <panel.csv> is required");
-        return ExitCode::from(2);
+/// Load `--data`/`--coords` and train PriSTI on the visible values of the
+/// panel — the part `impute` and `checkpoint save` share.
+fn load_and_train(
+    flags: &HashMap<String, String>,
+) -> Result<(SpatioTemporalDataset, TrainedModel), ExitCode> {
+    let (Some(data_path), Some(coords_path)) = (flags.get("data"), flags.get("coords")) else {
+        return Err(usage_error("--data <panel.csv> and --coords <coords.csv> are required"));
     };
-    let Some(coords_path) = flags.get("coords") else {
-        eprintln!("--coords <coords.csv> is required");
-        return ExitCode::from(2);
-    };
-    let out_path = flags.get("out").map(String::as_str).unwrap_or("imputed.csv");
-    let steps_per_day = get_usize(&flags, "steps-per-day", 24);
-    let epochs = get_usize(&flags, "epochs", 30);
-    let n_samples = get_usize(&flags, "samples", 16);
-    let window = get_usize(&flags, "window", 24);
-    let sampler = match parse_sampler_flags(&flags, Sampler::Ddpm) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let seed = get_usize(&flags, "seed", 7) as u64;
-
-    let data = match load_dataset(Path::new(data_path), Path::new(coords_path), steps_per_day) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("failed to load dataset: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let steps_per_day = get_usize(flags, "steps-per-day", 24);
+    let epochs = get_usize(flags, "epochs", 30);
+    let window = get_usize(flags, "window", 24);
+    let data = load_dataset(Path::new(data_path), Path::new(coords_path), steps_per_day)
+        .map_err(failed("failed to load dataset"))?;
     let missing = 1.0
         - data.observed_mask.data().iter().map(|&v| v as f64).sum::<f64>()
             / data.observed_mask.numel() as f64;
@@ -499,9 +471,8 @@ fn run_impute(flags: HashMap<String, String>) -> ExitCode {
     );
     if data.n_steps() < 2 * window {
         eprintln!("panel too short for --window {window}");
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
-
     let mut cfg = PristiConfig::small();
     cfg.virtual_nodes = cfg.virtual_nodes.min(data.n_nodes());
     let tc = TrainConfig {
@@ -509,18 +480,26 @@ fn run_impute(flags: HashMap<String, String>) -> ExitCode {
         window_len: window,
         window_stride: (window / 2).max(1),
         strategy: MaskStrategyKind::HybridBlock,
-        seed,
+        seed: get_usize(flags, "seed", 7) as u64,
         reporter: Reporter::Stderr,
         ..Default::default()
     };
     println!("training PriSTI ({epochs} epochs, window {window})...");
-    let trained = match train(&data, cfg, &tc) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("training failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let trained = train(&data, cfg, &tc).map_err(failed("training failed"))?;
+    Ok((data, trained))
+}
+
+fn run_impute(flags: HashMap<String, String>) -> Result<(), ExitCode> {
+    let out_path = flags.get("out").map(String::as_str).unwrap_or("imputed.csv");
+    let n_samples = get_usize(&flags, "samples", 16);
+    let window = get_usize(&flags, "window", 24);
+    let sampler = parse_sampler_flags(&flags, Sampler::Ddpm)?;
+    let seed = get_usize(&flags, "seed", 7) as u64;
+    let quantiles = match flags.get("quantiles").map(|q| q.split_once(',')) {
+        Some(None) => return Err(usage_error("--quantiles expects `lo.csv,hi.csv`")),
+        q => q.flatten(),
     };
+    let (data, trained) = load_and_train(&flags)?;
     println!("trained {} parameters", trained.model.n_params());
 
     // Impute the whole panel window by window.
@@ -535,13 +514,8 @@ fn run_impute(flags: HashMap<String, String>) -> ExitCode {
     }
     for (wi, &t0) in starts.iter().enumerate() {
         let w = data.window_at(t0, window);
-        let res = match impute(&trained, &w, &ImputeOptions { n_samples, sampler }, &mut rng) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("imputation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let res = impute(&trained, &w, &ImputeOptions { n_samples, sampler }, &mut rng)
+            .map_err(failed("imputation failed"))?;
         let med = res.median();
         let q05 = res.quantile(0.05);
         let q95 = res.quantile(0.95);
@@ -551,387 +525,99 @@ fn run_impute(flags: HashMap<String, String>) -> ExitCode {
         println!("  window {}/{} imputed", wi + 1, starts.len());
     }
 
-    let sensors: Vec<String> = panel_sensor_names(data_path, n);
-    if let Err(e) = std::fs::write(out_path, panel_to_csv(&panel, &sensors)) {
-        eprintln!("write failed: {e}");
-        return ExitCode::FAILURE;
-    }
+    let sensors: Vec<String> = panel_sensor_names(&flags["data"], n);
+    std::fs::write(out_path, panel_to_csv(&panel, &sensors)).map_err(failed("write failed"))?;
     println!("imputed panel -> {out_path}");
-    if let Some(q) = flags.get("quantiles") {
-        if let Some((lo_path, hi_path)) = q.split_once(',') {
-            let r = std::fs::write(lo_path, panel_to_csv(&lo, &sensors))
-                .and_then(|_| std::fs::write(hi_path, panel_to_csv(&hi, &sensors)));
-            match r {
-                Ok(()) => println!("quantile bands -> {lo_path}, {hi_path}"),
-                Err(e) => {
-                    eprintln!("quantile write failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            eprintln!("--quantiles expects `lo.csv,hi.csv`");
-        }
+    if let Some((lo_path, hi_path)) = quantiles {
+        std::fs::write(lo_path, panel_to_csv(&lo, &sensors))
+            .and_then(|_| std::fs::write(hi_path, panel_to_csv(&hi, &sensors)))
+            .map_err(failed("quantile write failed"))?;
+        println!("quantile bands -> {lo_path}, {hi_path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Train exactly as `pristi impute` would, then persist the model as an
 /// `st-ckpt/1` file instead of imputing.
-fn run_checkpoint_save(flags: HashMap<String, String>) -> ExitCode {
-    let Some(data_path) = flags.get("data") else {
-        eprintln!("--data <panel.csv> is required");
-        return ExitCode::from(2);
-    };
-    let Some(coords_path) = flags.get("coords") else {
-        eprintln!("--coords <coords.csv> is required");
-        return ExitCode::from(2);
-    };
+fn run_checkpoint_save(flags: HashMap<String, String>) -> Result<(), ExitCode> {
     let out_path = flags.get("out").map(String::as_str).unwrap_or("model.ckpt");
-    let steps_per_day = get_usize(&flags, "steps-per-day", 24);
-    let epochs = get_usize(&flags, "epochs", 30);
-    let window = get_usize(&flags, "window", 24);
-    let seed = get_usize(&flags, "seed", 7) as u64;
-
-    let data = match load_dataset(Path::new(data_path), Path::new(coords_path), steps_per_day) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("failed to load dataset: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if data.n_steps() < 2 * window {
-        eprintln!("panel too short for --window {window}");
-        return ExitCode::FAILURE;
-    }
-    let mut cfg = PristiConfig::small();
-    cfg.virtual_nodes = cfg.virtual_nodes.min(data.n_nodes());
-    let tc = TrainConfig {
-        epochs,
-        window_len: window,
-        window_stride: (window / 2).max(1),
-        strategy: MaskStrategyKind::HybridBlock,
-        seed,
-        reporter: Reporter::Stderr,
-        ..Default::default()
-    };
-    println!("training PriSTI ({epochs} epochs, window {window})...");
-    let trained = match train(&data, cfg, &tc) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("training failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match save_checkpoint(&trained, Path::new(out_path)) {
-        Ok(()) => {
-            println!(
-                "checkpoint ({} parameters, {} sensors, window {}) -> {out_path}",
-                trained.model.n_params(),
-                trained.model.n_nodes(),
-                trained.model.window_len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("checkpoint save failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let (_, trained) = load_and_train(&flags)?;
+    save_checkpoint(&trained, Path::new(out_path)).map_err(failed("checkpoint save failed"))?;
+    println!(
+        "checkpoint ({} parameters, {} sensors, window {}) -> {out_path}",
+        trained.model.n_params(),
+        trained.model.n_nodes(),
+        trained.model.window_len()
+    );
+    Ok(())
 }
 
 /// Load a checkpoint end to end — header, checksum, config validation, and
 /// full model rebuild — and print what it holds. A valid file exits 0.
-fn run_checkpoint_verify(flags: HashMap<String, String>) -> ExitCode {
-    let Some(ckpt_path) = flags.get("ckpt") else {
-        eprintln!("--ckpt <model.ckpt> is required");
-        return ExitCode::from(2);
-    };
-    match load_checkpoint(Path::new(ckpt_path)) {
-        Ok(trained) => {
-            println!("checkpoint OK: {ckpt_path}");
-            println!("  parameters: {}", trained.model.n_params());
-            println!("  sensors:    {}", trained.model.n_nodes());
-            println!("  window:     {}", trained.model.window_len());
-            println!("  t_steps:    {}", trained.schedule.betas().len());
-            match trained.epoch_losses.last() {
-                Some(last) => println!(
-                    "  training:   {} epochs, final loss {last:.6}",
-                    trained.epoch_losses.len()
-                ),
-                None => println!("  training:   no recorded epochs"),
-            }
-            ExitCode::SUCCESS
+fn run_checkpoint_verify(flags: HashMap<String, String>) -> Result<(), ExitCode> {
+    let ckpt_path =
+        flags.get("ckpt").ok_or_else(|| usage_error("--ckpt <model.ckpt> is required"))?;
+    let trained =
+        load_checkpoint(Path::new(ckpt_path)).map_err(failed("checkpoint verify failed"))?;
+    println!("checkpoint OK: {ckpt_path}");
+    println!("  parameters: {}", trained.model.n_params());
+    println!("  sensors:    {}", trained.model.n_nodes());
+    println!("  window:     {}", trained.model.window_len());
+    println!("  t_steps:    {}", trained.schedule.betas().len());
+    match trained.epoch_losses.last() {
+        Some(last) => {
+            println!("  training:   {} epochs, final loss {last:.6}", trained.epoch_losses.len())
         }
-        Err(e) => {
-            eprintln!("checkpoint verify failed: {e}");
-            ExitCode::FAILURE
-        }
+        None => println!("  training:   no recorded epochs"),
     }
+    Ok(())
 }
 
-/// Serve a checkpoint over a stdin/stdout JSONL loop (one request per line,
-/// one response per line; see the module docs for the wire format).
-fn run_serve(flags: HashMap<String, String>) -> ExitCode {
-    let Some(ckpt_path) = flags.get("ckpt") else {
-        eprintln!("--ckpt <model.ckpt> is required");
-        return ExitCode::from(2);
-    };
-    let default_samples = get_usize(&flags, "samples", 8);
-    let default_sampler = match parse_sampler_flags(&flags, Sampler::Ddpm) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = ServeConfig {
-        max_batch_samples: get_usize(&flags, "batch", 32),
-        workers: get_usize(&flags, "workers", 1),
-        default_deadline: Duration::from_millis(get_usize(&flags, "deadline-ms", 30_000) as u64),
-        base_seed: get_usize(&flags, "seed", 0) as u64,
-        ..Default::default()
-    };
-    let trained = match load_checkpoint(Path::new(ckpt_path)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("failed to load checkpoint: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (n_nodes, window_len) = (trained.model.n_nodes(), trained.model.window_len());
-    let service = match ImputeService::start(trained, cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("failed to start service: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "serving {ckpt_path} ({n_nodes} sensors, window {window_len}); \
-         reading JSONL requests from stdin"
-    );
-
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout().lock();
-    let mut line_no = 0u64;
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("stdin read failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        line_no += 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match parse_request(&line, default_samples, default_sampler) {
-            Ok(req) => {
-                let id = req.id;
-                match service.submit(req) {
-                    Ok(res) => {
-                        let med = res.median();
-                        let q05 = res.quantile(0.05);
-                        let q95 = res.quantile(0.95);
-                        format!(
-                            "{{\"id\":{id},\"ok\":true,\"median\":{},\"q05\":{},\"q95\":{}}}",
-                            grid_json(&med),
-                            grid_json(&q05),
-                            grid_json(&q95)
-                        )
-                    }
-                    Err(e) => error_line(Some(id), e.kind(), &e.to_string(), line_no),
-                }
-            }
-            Err((kind, detail)) => error_line(None, kind, &detail, line_no),
-        };
-        // Piped stdout is block-buffered; a serving loop must flush per line
-        // or clients waiting on a response deadlock.
-        if writeln!(stdout, "{response}").and_then(|()| stdout.flush()).is_err() {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `pristi serve --stream`: a sliding-window streaming loop over stdin
-/// JSONL ticks (see [`st_serve::stream`] for the wire format and the
-/// incremental-prior design, and README §Streaming for a quickstart).
-fn run_serve_stream(flags: HashMap<String, String>) -> ExitCode {
-    let Some(ckpt_path) = flags.get("ckpt") else {
-        eprintln!("--ckpt <model.ckpt> is required");
-        return ExitCode::from(2);
-    };
-    // Streaming revises gaps every tick, so the default solver is the
+/// `pristi serve [--stream]`: load a checkpoint and answer JSONL lines from
+/// stdin on stdout through [`st_serve::wire`] — imputation requests through
+/// an [`ImputeService`], or with `--stream` ticks through streaming sessions.
+fn run_serve(flags: HashMap<String, String>, stream: bool) -> Result<(), ExitCode> {
+    let ckpt_path =
+        flags.get("ckpt").ok_or_else(|| usage_error("--ckpt <model.ckpt> is required"))?;
+    // Streaming revises gaps every tick, so its default solver is the
     // few-step `pndm:4` rather than full DDPM.
-    let default_sampler = match parse_sampler_flags(&flags, Sampler::Pndm { steps: 4, order: 4 }) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = StreamServerConfig {
-        session: StreamConfig {
-            n_samples: get_usize(&flags, "samples", 8),
-            sampler: default_sampler,
-            horizon: get_usize(&flags, "horizon", 4),
-            base_seed: get_usize(&flags, "seed", 0) as u64,
-        },
-        workers: get_usize(&flags, "workers", 1),
-    };
-    let trained = match load_checkpoint(Path::new(ckpt_path)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("failed to load checkpoint: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let default = if stream { Sampler::Pndm { steps: 4, order: 4 } } else { Sampler::Ddpm };
+    let sampler = parse_sampler_flags(&flags, default)?;
+    let trained =
+        load_checkpoint(Path::new(ckpt_path)).map_err(failed("failed to load checkpoint"))?;
     let (n_nodes, window_len) = (trained.model.n_nodes(), trained.model.window_len());
-    eprintln!(
-        "streaming {ckpt_path} ({n_nodes} sensors, window {window_len}, horizon {}, \
-         sampler {default_sampler}); reading JSONL ticks from stdin",
-        cfg.session.horizon
-    );
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout().lock();
-    match run_stream(std::sync::Arc::new(trained), &cfg, stdin.lock(), stdout) {
-        Ok(summary) => {
-            eprintln!(
-                "stream closed: {} ok ({} imputed, {} skipped), {} errors",
-                summary.ok, summary.imputes, summary.skips, summary.errors
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("stream I/O failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Parse one JSONL request line into an [`ImputeRequest`]. `null` cells are
-/// missing; everything shape-related is left to the service's validation.
-///
-/// The sampler comes from the `"sampler"` spec string (shared grammar, e.g.
-/// `"pndm:6"`), with the pre-spec `"ddim_steps"` integer field kept as an
-/// alias for `ddim:K`; with neither the serve-level default applies.
-fn parse_request(
-    line: &str,
-    default_samples: usize,
-    default_sampler: Sampler,
-) -> Result<ImputeRequest, (&'static str, String)> {
-    parse_request_inner(line, default_samples, default_sampler).map_err(|detail| {
-        let kind = if detail.starts_with("bad JSON") { "bad_json" } else { "bad_request" };
-        (kind, detail)
-    })
-}
-
-fn parse_request_inner(
-    line: &str,
-    default_samples: usize,
-    default_sampler: Sampler,
-) -> Result<ImputeRequest, String> {
-    let req = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-    let id = req
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or("request needs a numeric \"id\"")?;
-    let rows = req
-        .get("values")
-        .and_then(Json::as_arr)
-        .ok_or("request needs a \"values\" array of sensor rows")?;
-    let n = rows.len();
-    let l = rows
-        .first()
-        .and_then(|r| r.as_arr())
-        .ok_or("\"values\" rows must be arrays")?
-        .len();
-    let mut values = NdArray::zeros(&[n, l]);
-    let mut observed = NdArray::zeros(&[n, l]);
-    for (i, row) in rows.iter().enumerate() {
-        let cells = row.as_arr().ok_or("\"values\" rows must be arrays")?;
-        if cells.len() != l {
-            return Err(format!(
-                "ragged \"values\": row 0 has {l} cells, row {i} has {}",
-                cells.len()
-            ));
-        }
-        for (li, cell) in cells.iter().enumerate() {
-            match cell {
-                Json::Null => {}
-                other => {
-                    let v = other.as_f64().ok_or_else(|| {
-                        format!("cell [{i}][{li}] must be a number or null")
-                    })?;
-                    values.data_mut()[i * l + li] = v as f32;
-                    observed.data_mut()[i * l + li] = 1.0;
-                }
-            }
-        }
-    }
-    let n_samples = req
-        .get("n_samples")
-        .and_then(Json::as_u64)
-        .map_or(default_samples, |v| v as usize);
-    let sampler = match (req.get("sampler"), req.get("ddim_steps")) {
-        (Some(_), Some(_)) => {
-            return Err("\"sampler\" and \"ddim_steps\" are mutually exclusive".into())
-        }
-        (Some(spec), None) => {
-            let spec = spec.as_str().ok_or("\"sampler\" must be a spec string")?;
-            spec.parse::<Sampler>().map_err(|e| e.to_string())?
-        }
-        (None, Some(steps)) => {
-            let steps = steps.as_u64().ok_or("\"ddim_steps\" must be a non-negative integer")?;
-            Sampler::Ddim { steps: steps as usize, eta: 0.0 }
-        }
-        (None, None) => default_sampler,
+    let (n_samples, workers) = (get_usize(&flags, "samples", 8), get_usize(&flags, "workers", 1));
+    let base_seed = get_usize(&flags, "seed", 0) as u64;
+    let service;
+    let engine = if stream {
+        let horizon = get_usize(&flags, "horizon", 4);
+        eprintln!(
+            "streaming {ckpt_path} ({n_nodes} sensors, window {window_len}, horizon {horizon}, \
+             sampler {sampler}); reading JSONL ticks from stdin"
+        );
+        let session = StreamConfig { n_samples, sampler, horizon, base_seed };
+        Engine::Stream { trained: Arc::new(trained), session, workers }
+    } else {
+        let cfg = ServeConfig {
+            max_batch_samples: get_usize(&flags, "batch", 32),
+            workers,
+            default_deadline: Duration::from_millis(
+                get_usize(&flags, "deadline-ms", 30_000) as u64,
+            ),
+            base_seed,
+            ..Default::default()
+        };
+        service = ImputeService::start(trained, cfg).map_err(failed("failed to start service"))?;
+        eprintln!(
+            "serving {ckpt_path} ({n_nodes} sensors, window {window_len}); \
+             reading JSONL requests from stdin"
+        );
+        Engine::Requests { service: &service, defaults: ImputeOptions { n_samples, sampler } }
     };
-    let tier = match req.get("tier").and_then(Json::as_str) {
-        None | Some("interactive") => AdmissionTier::Interactive,
-        Some("best_effort") => AdmissionTier::BestEffort,
-        Some(other) => {
-            return Err(format!(
-                "unknown \"tier\" `{other}` (expected \"interactive\" or \"best_effort\")"
-            ))
-        }
-    };
-    Ok(ImputeRequest {
-        id,
-        window: Window { values, observed, eval: NdArray::zeros(&[n, l]), t_start: 0 },
-        n_samples,
-        sampler,
-        tier,
-        deadline: None,
-    })
-}
-
-/// Render a `[N, L]` array as nested JSON arrays (rows = sensors).
-fn grid_json(a: &NdArray) -> String {
-    let (n, l) = (a.shape()[0], a.shape()[1]);
-    let mut out = String::from("[");
-    for i in 0..n {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for li in 0..l {
-            if li > 0 {
-                out.push(',');
-            }
-            let v = a.data()[i * l + li];
-            if v.is_finite() {
-                out.push_str(&format!("{v}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        out.push(']');
-    }
-    out.push(']');
-    out
+    let summary = serve_lines(engine, std::io::stdin().lock(), std::io::stdout())
+        .map_err(failed("serve I/O failed"))?;
+    eprintln!("input closed: {summary:?}");
+    Ok(())
 }
 
 fn write_window(panel: &mut NdArray, mask: &NdArray, win: &NdArray, t0: usize, n: usize, l: usize) {

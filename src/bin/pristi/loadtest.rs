@@ -37,7 +37,7 @@ use st_data::missing::inject_point_missing;
 use st_rand::{Rng, SeedableRng, StdRng};
 use st_serve::{
     checkpoint_from_bytes, checkpoint_to_bytes, AdmissionTier, ImputeRequest, ImputeService,
-    ServeConfig, StreamConfig, StreamServerConfig,
+    ServeConfig, StreamConfig,
 };
 use st_tensor::NdArray;
 use std::process::ExitCode;
@@ -502,24 +502,17 @@ fn run_stream_phase(
     opts: &LoadtestOpts,
     tick_log: &str,
 ) -> Result<ServeEntry, String> {
-    let cfg = StreamServerConfig {
-        session: StreamConfig {
-            n_samples: 2,
-            sampler: Sampler::Pndm { steps: 4, order: 4 },
-            horizon: 4,
-            base_seed: opts.seed,
-        },
-        workers,
+    let session = StreamConfig {
+        n_samples: 2,
+        sampler: Sampler::Pndm { steps: 4, order: 4 },
+        horizon: 4,
+        base_seed: opts.seed,
     };
+    let engine = st_serve::wire::Engine::Stream { trained: Arc::new(trained), session, workers };
     let mut out = Vec::new();
     let start = Instant::now();
-    let summary = st_serve::run_stream(
-        Arc::new(trained),
-        &cfg,
-        std::io::Cursor::new(tick_log.as_bytes()),
-        &mut out,
-    )
-    .map_err(|e| format!("stream I/O failed: {e}"))?;
+    let summary = st_serve::wire::serve_lines(engine, tick_log.as_bytes(), &mut out)
+        .map_err(|e| format!("stream I/O failed: {e}"))?;
     let wall = start.elapsed();
     if summary.errors > 0 {
         return Err(format!("{} unexpected error response(s)", summary.errors));
